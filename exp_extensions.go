@@ -88,7 +88,7 @@ func verdict(ok bool) string {
 // path. Loss-based TCP recovers and the page-load download share shrinks.
 func runX2MEC(cfg Config) Result {
 	d := bulkDur(cfg)
-	remote := netsim.DefaultPath(radio.NR, true)
+	remote := cfg.obsPath(radio.NR, true)
 	edge := remote
 	edge.ServerOneWay = 300 * time.Microsecond
 	edge.BottleneckOneWay = 200 * time.Microsecond
@@ -187,7 +187,7 @@ func replayWithRRCI(tr energy.Trace) float64 {
 func runX7Buffer(cfg Config) Result {
 	d := bulkDur(cfg)
 	res := Result{ID: "X7", Title: "Wired buffer sizing sweep", Values: map[string]float64{}}
-	base := netsim.DefaultPath(radio.NR, true)
+	base := cfg.obsPath(radio.NR, true)
 	for _, scale := range []float64{0.5, 1, 2, 4} {
 		pc := base
 		pc.BottleneckBufferBytes = int(float64(base.BottleneckBufferBytes) * scale)
@@ -208,8 +208,8 @@ func runX7Buffer(cfg Config) Result {
 func runX8MPTCP(cfg Config) Result {
 	d := bulkDur(cfg)
 	cfgs := []netsim.PathConfig{
-		netsim.DefaultPath(radio.NR, true),
-		netsim.DefaultPath(radio.LTE, true),
+		cfg.obsPath(radio.NR, true),
+		cfg.obsPath(radio.LTE, true),
 	}
 	cfgs[1].Seed = cfg.Seed + 1
 	res := transport.RunMPTCPBulk(cfgs, "bbr", d)

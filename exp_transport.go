@@ -189,7 +189,9 @@ func runFig10(cfg Config) Result {
 			if sch.Now() >= end {
 				return
 			}
-			path.ServerIngress.Receive(&netsim.Packet{Len: netsim.MSS, Wire: netsim.MSS + netsim.HeaderBytes})
+			p := path.Pool.Get()
+			p.Len, p.Wire = netsim.MSS, netsim.MSS+netsim.HeaderBytes
+			path.ServerIngress.Receive(p)
 			sch.After(interval, tick)
 		}
 		tick()

@@ -7,12 +7,17 @@
 // The scheduler is built for an allocation-free steady state: fired and
 // reaped events are recycled through a per-scheduler free list (the
 // scheduler is single-threaded, so no sync.Pool is involved), the priority
-// queue is an inlined 4-ary min-heap specialized to the (at, seq) key, and
-// Timer handles are values carrying a generation counter so a stale handle
-// can never touch a recycled event. Because (at, seq) is a total order, any
-// min-heap pops events in exactly the same sequence — the firing order, and
-// therefore every simulation output, is byte-identical to the pre-pooling
-// scheduler.
+// queue is an inlined 4-ary min-heap that stores each event's time inline
+// next to its pointer, and Timer handles are values carrying a generation
+// counter so a stale handle can never touch a recycled event. Because
+// (at, seq) is a total order, any min-heap pops events in exactly the same
+// sequence — the firing order, and therefore every simulation output, is
+// byte-identical to the pre-pooling scheduler.
+//
+// Lanes (see Lane) keep the heap small at production queue depth: a FIFO
+// of arg-carrying events with non-decreasing times occupies one heap slot
+// for its head instead of one per event, and reserves each event's seq
+// when it is pushed, so the (at, seq) firing order is unchanged.
 //
 // The scheduler is optionally observable: SetObs attaches an obs.Registry
 // (and optionally an obs.Tracer) under the `des.*` metric namespace —
@@ -32,7 +37,6 @@ import (
 // recycled through its free list; gen increments on every recycle so that
 // stale Timer handles (whose gen no longer matches) become no-ops.
 type event struct {
-	at  time.Duration
 	seq uint64
 	gen uint64
 	// Exactly one of fn/afn is set while the event is live. afn carries
@@ -42,6 +46,9 @@ type event struct {
 	afn func(any)
 	arg any
 	sch *Scheduler
+	// lane is set on a Lane's head event, which stands in the heap for
+	// the lane's first pending item and is never recycled.
+	lane *Lane
 	// canceled events stay in the heap but are skipped when popped (or
 	// reaped in bulk by compact).
 	canceled bool
@@ -110,8 +117,8 @@ type schedObs struct {
 type Scheduler struct {
 	now     time.Duration
 	seq     uint64
-	queue   []*event // inlined 4-ary min-heap on (at, seq)
-	free    []*event // recycled event structs
+	queue   []heapEntry // inlined 4-ary min-heap on (at, seq)
+	free    []*event    // recycled event structs
 	stopped bool
 	// live counts scheduled-but-not-yet-fired, non-canceled events; it
 	// is what Pending reports (canceled events linger in the heap until
@@ -157,8 +164,9 @@ func (s *Scheduler) SetProfile(on bool) { s.o.profile = on }
 // Now returns the current simulated time.
 func (s *Scheduler) Now() time.Duration { return s.now }
 
-// alloc takes an event from the free list (or makes one) and keys it.
-func (s *Scheduler) alloc(at time.Duration) *event {
+// alloc takes an event from the free list (or makes one) and reserves
+// its seq; the caller pushes it with its (clamped) time.
+func (s *Scheduler) alloc() *event {
 	var ev *event
 	if n := len(s.free); n > 0 {
 		ev = s.free[n-1]
@@ -167,11 +175,7 @@ func (s *Scheduler) alloc(at time.Duration) *event {
 	} else {
 		ev = &event{sch: s}
 	}
-	if at < s.now {
-		at = s.now
-	}
 	s.seq++
-	ev.at = at
 	ev.seq = s.seq
 	return ev
 }
@@ -187,23 +191,36 @@ func (s *Scheduler) recycle(ev *event) {
 	s.free = append(s.free, ev)
 }
 
-// schedule finishes At/AtArg: heap insert plus telemetry.
-func (s *Scheduler) schedule(ev *event) Timer {
-	s.heapPush(ev)
+// clamp maps times in the past to the present.
+func (s *Scheduler) clamp(at time.Duration) time.Duration {
+	if at < s.now {
+		return s.now
+	}
+	return at
+}
+
+// scheduled counts one newly scheduled event as live.
+func (s *Scheduler) scheduled() {
 	s.live++
 	if s.o.on {
 		s.o.scheduled.Inc()
 		s.o.depth.Set(int64(s.live))
 	}
+}
+
+// schedule finishes At/AtArg: heap insert plus telemetry.
+func (s *Scheduler) schedule(at time.Duration, ev *event) Timer {
+	s.heapPush(heapEntry{at: s.clamp(at), ev: ev})
+	s.scheduled()
 	return Timer{ev: ev, gen: ev.gen}
 }
 
 // At schedules fn to run at the absolute simulated time at. Times in the
 // past are clamped to the present.
 func (s *Scheduler) At(at time.Duration, fn func()) Timer {
-	ev := s.alloc(at)
+	ev := s.alloc()
 	ev.fn = fn
-	return s.schedule(ev)
+	return s.schedule(at, ev)
 }
 
 // AtArg schedules fn(arg) at the absolute simulated time at. It exists
@@ -211,10 +228,10 @@ func (s *Scheduler) At(at time.Duration, fn func()) Timer {
 // pre-bound fn plus a pointer-shaped arg (e.g. *netsim.Packet) schedules
 // with zero heap allocations in steady state.
 func (s *Scheduler) AtArg(at time.Duration, fn func(any), arg any) Timer {
-	ev := s.alloc(at)
+	ev := s.alloc()
 	ev.afn = fn
 	ev.arg = arg
-	return s.schedule(ev)
+	return s.schedule(at, ev)
 }
 
 // After schedules fn to run d after the current time.
@@ -251,23 +268,43 @@ func (s *Scheduler) FreeListLen() int { return len(s.free) }
 // step executes the next event. It reports false when the queue is empty.
 func (s *Scheduler) step(limit time.Duration, bounded bool) bool {
 	for len(s.queue) > 0 {
-		next := s.queue[0]
-		if bounded && next.at > limit {
+		top := s.queue[0]
+		if bounded && top.at > limit {
 			return false
 		}
-		s.heapPopHead()
-		if next.canceled {
-			s.canceledInHeap--
-			s.recycle(next)
-			continue
+		ev := top.ev
+		var fn func()
+		var afn func(any)
+		var arg any
+		if l := ev.lane; l != nil {
+			// A lane's head: take its first item and re-key the head
+			// slot in place to the next one (times never decrease along
+			// a lane, so the key only grows and one sift-down restores
+			// the heap), or drop the slot once the lane is empty.
+			afn, arg = l.fn, l.pop()
+			if l.n > 0 {
+				next := &l.buf[l.first]
+				ev.seq = next.seq
+				s.queue[0].at = next.at
+				s.siftDown(0)
+			} else {
+				s.heapPopHead()
+			}
+		} else {
+			s.heapPopHead()
+			if ev.canceled {
+				s.canceledInHeap--
+				s.recycle(ev)
+				continue
+			}
+			fn, afn, arg = ev.fn, ev.afn, ev.arg
+			// Recycle before the callback runs: the callback may schedule
+			// new events that immediately reuse this struct (gen was
+			// bumped, so any outstanding Timer for the fired event is
+			// already inert).
+			s.recycle(ev)
 		}
-		s.now = next.at
-		at := next.at
-		fn, afn, arg := next.fn, next.afn, next.arg
-		// Recycle before the callback runs: the callback may schedule new
-		// events that immediately reuse this struct (gen was bumped, so any
-		// outstanding Timer for the fired event is already inert).
-		s.recycle(next)
+		s.now = top.at
 		s.live--
 		if s.o.on {
 			s.o.fired.Inc()
@@ -282,7 +319,7 @@ func (s *Scheduler) step(limit time.Duration, bounded bool) bool {
 			}
 			wall := time.Since(t0)
 			s.o.cbWall.Observe(float64(wall) / float64(time.Microsecond))
-			s.o.tracer.WallSpan("des.callback", "des", at, wall)
+			s.o.tracer.WallSpan("des.callback", "des", top.at, wall)
 		} else if afn != nil {
 			afn(arg)
 		} else {
@@ -320,21 +357,29 @@ func (s *Scheduler) RunUntil(deadline time.Duration) {
 // ---- inlined 4-ary min-heap on (at, seq) ----
 //
 // A 4-ary heap halves the tree depth of the binary heap, cutting the
-// sift-up comparisons on the push-heavy workload of a packet simulation,
-// and keeps children in one cache line of the pointer array. less is the
-// only ordering used anywhere, and it is a strict total order (seq is
-// unique), so pop order — and thus simulation output — does not depend on
-// the internal array layout.
+// sift-up comparisons on the push-heavy workload of a packet simulation.
+// Each slot stores the event's time inline next to its pointer, so four
+// children fill one cache line and a comparison dereferences an event
+// only to break a tie on seq. less is the only ordering used anywhere, and
+// it is a strict total order (seq is unique), so pop order — and thus
+// simulation output — does not depend on the internal array layout.
 
-func less(a, b *event) bool {
+// heapEntry is one heap slot: the event's firing time and the event,
+// whose seq breaks ties.
+type heapEntry struct {
+	at time.Duration
+	ev *event
+}
+
+func less(a, b heapEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.seq < b.seq
+	return a.ev.seq < b.ev.seq
 }
 
-func (s *Scheduler) heapPush(ev *event) {
-	s.queue = append(s.queue, ev)
+func (s *Scheduler) heapPush(e heapEntry) {
+	s.queue = append(s.queue, e)
 	s.siftUp(len(s.queue) - 1)
 }
 
@@ -342,7 +387,7 @@ func (s *Scheduler) heapPopHead() {
 	q := s.queue
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = nil
+	q[n] = heapEntry{}
 	s.queue = q[:n]
 	if n > 1 {
 		s.siftDown(0)
@@ -351,22 +396,22 @@ func (s *Scheduler) heapPopHead() {
 
 func (s *Scheduler) siftUp(i int) {
 	q := s.queue
-	ev := q[i]
+	e := q[i]
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !less(ev, q[parent]) {
+		if !less(e, q[parent]) {
 			break
 		}
 		q[i] = q[parent]
 		i = parent
 	}
-	q[i] = ev
+	q[i] = e
 }
 
 func (s *Scheduler) siftDown(i int) {
 	q := s.queue
 	n := len(q)
-	ev := q[i]
+	e := q[i]
 	for {
 		first := i<<2 + 1
 		if first >= n {
@@ -383,32 +428,32 @@ func (s *Scheduler) siftDown(i int) {
 				min = c
 			}
 		}
-		if !less(q[min], ev) {
+		if !less(q[min], e) {
 			break
 		}
 		q[i] = q[min]
 		i = min
 	}
-	q[i] = ev
+	q[i] = e
 }
 
 // compact removes every canceled event from the heap in one pass,
 // recycles them, and restores the heap property bottom-up (Floyd). Pop
 // order is unchanged — the heap invariant plus the total order on
-// (at, seq) fully determine it.
+// (at, seq) fully determine it. Lane heads are never canceled.
 func (s *Scheduler) compact() {
 	q := s.queue
 	kept := q[:0]
-	for _, ev := range q {
-		if ev.canceled {
+	for _, e := range q {
+		if e.ev.canceled {
 			s.canceledInHeap--
-			s.recycle(ev)
+			s.recycle(e.ev)
 			continue
 		}
-		kept = append(kept, ev)
+		kept = append(kept, e)
 	}
 	for i := len(kept); i < len(q); i++ {
-		q[i] = nil
+		q[i] = heapEntry{}
 	}
 	s.queue = kept
 	for i := (len(kept) - 2) >> 2; i >= 0; i-- {

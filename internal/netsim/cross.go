@@ -62,10 +62,11 @@ func (c CrossConfig) MeanRate() float64 {
 // StartCross launches the modulated background source injecting into
 // target. Packets are marked Background, drawn from pool (nil degrades to
 // plain allocation), and terminate in a Sink after the bottleneck, where
-// the path's delivery wrapper recycles them.
-func StartCross(sch *des.Scheduler, cfg CrossConfig, r *rand.Rand, pool *PacketPool, target Receiver) {
+// the path's delivery wrapper recycles them. It returns the injection
+// lane (nil when cfg disables cross traffic).
+func StartCross(sch *des.Scheduler, cfg CrossConfig, r *rand.Rand, pool *PacketPool, target Receiver) *des.Lane {
 	if cfg.Interval <= 0 {
-		return
+		return nil
 	}
 	// Cross traffic is emitted by a token-bucket pump at a fixed 1 ms
 	// cadence, with each tick's packets spread evenly across the tick so
@@ -80,13 +81,14 @@ func StartCross(sch *des.Scheduler, cfg CrossConfig, r *rand.Rand, pool *PacketP
 			rate = rng.Uniform(r, 0, cfg.IdleHiBps)
 		}
 	}
-	// emit is the single injection callback shared by every packet; the
-	// origin timestamp is stamped at fire time, as before.
-	emit := func(a any) {
+	// emit is the single injection lane shared by every packet; the
+	// origin timestamp is stamped at fire time. Each tick's injection
+	// times lie inside the tick, so they never decrease along the lane.
+	emit := sch.NewLane(func(a any) {
 		p := a.(*Packet)
 		p.SentAt = sch.Now()
 		target.Receive(p)
-	}
+	})
 	var pump func()
 	pump = func() {
 		tokens += rate / 8 * pumpTick.Seconds()
@@ -95,7 +97,7 @@ func StartCross(sch *des.Scheduler, cfg CrossConfig, r *rand.Rand, pool *PacketP
 		for i := 0; i < n; i++ {
 			p := pool.Get()
 			p.FlowID, p.Wire, p.Background = -1, cfg.PacketWire, true
-			sch.AfterArg(time.Duration(i)*pumpTick/time.Duration(n), emit, p)
+			emit.At(sch.Now()+time.Duration(i)*pumpTick/time.Duration(n), p)
 		}
 		sch.After(pumpTick, pump)
 	}
@@ -106,4 +108,5 @@ func StartCross(sch *des.Scheduler, cfg CrossConfig, r *rand.Rand, pool *PacketP
 	}
 	schedule()
 	pump()
+	return emit
 }

@@ -15,8 +15,9 @@ import (
 // The per-packet path is allocation-free in steady state: the queue is a
 // ring buffer, the serializer holds its single in-flight packet in a
 // struct slot, and the scheduler callbacks (serve retry, tx complete,
-// delivery) are bound once at construction — the delivery leg rides the
-// scheduler's arg-carrying events instead of a per-packet closure.
+// delivery) are bound once at construction. The delivery leg is a
+// des.Lane: packets leave the serializer in order and share one
+// propagation delay, so the whole propagation stage holds one heap slot.
 type Hop struct {
 	Name string
 
@@ -36,10 +37,10 @@ type Hop struct {
 
 	// inflight is the packet occupying the serializer; the pre-bound
 	// callbacks below are what keep the hot path closure-free.
-	inflight  *Packet
-	serveFn   func()
-	txDoneFn  func()
-	deliverFn func(any)
+	inflight *Packet
+	serveFn  func()
+	txDoneFn func()
+	deliver  *des.Lane
 
 	// pool, when set, recycles pool-owned packets this hop terminates
 	// (drops). Nil is a no-op.
@@ -119,7 +120,7 @@ func NewHop(sch *des.Scheduler, name string, rateBps float64, prop time.Duration
 	}
 	h.serveFn = h.serve
 	h.txDoneFn = h.txDone
-	h.deliverFn = func(a any) { h.next.Receive(a.(*Packet)) }
+	h.deliver = sch.NewLane(func(a any) { h.next.Receive(a.(*Packet)) })
 	return h
 }
 
@@ -146,7 +147,10 @@ func (h *Hop) SetInjectLoss(rate float64, r *rand.Rand) {
 }
 
 // SetExtraProp adds d to the propagation delay of every subsequent
-// delivery (a latency-burst window); d = 0 restores the baseline.
+// delivery (a latency-burst window); d = 0 restores the baseline. When d
+// shrinks, packets sent afterwards may overtake those still in flight;
+// the delivery lane schedules each such packet as an ordinary event, so
+// deliveries keep their exact times.
 func (h *Hop) SetExtraProp(d time.Duration) { h.extraProp = d }
 
 // SetRateScale scales the serving rate by s (a degradation window,
@@ -234,6 +238,6 @@ func (h *Hop) txDone() {
 	h.Forwarded++
 	h.cFwd.Inc()
 	h.cBytes.Add(int64(p.Wire))
-	h.sch.AfterArg(h.prop+h.extraProp, h.deliverFn, p)
+	h.deliver.At(h.sch.Now()+h.prop+h.extraProp, p)
 	h.serve()
 }

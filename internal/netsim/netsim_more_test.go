@@ -117,3 +117,45 @@ func TestCrossDisabled(t *testing.T) {
 		t.Fatalf("loss without cross traffic: %.3f%%", 100*r.LossRate)
 	}
 }
+
+// TestHopExtraPropShrinkMidFlight: a latency-burst window that shrinks
+// while packets are in flight lets later packets overtake earlier ones.
+// Each packet must still arrive exactly at its serialization end plus the
+// propagation delay in force then, and packets arriving at the same
+// instant must arrive in the order they were handed to propagation.
+func TestHopExtraPropShrinkMidFlight(t *testing.T) {
+	sch := des.New()
+	type arrival struct {
+		seq int64
+		at  time.Duration
+	}
+	var got []arrival
+	sink := ReceiverFunc(func(p *Packet) { got = append(got, arrival{p.Seq, sch.Now()}) })
+	// 1000-byte packets at 8 Mb/s: one leaves the serializer every 1 ms.
+	hop := NewHop(sch, "h", 8e6, time.Millisecond, 1<<20, sink)
+	hop.SetExtraProp(20 * time.Millisecond)
+	for i := int64(0); i < 10; i++ {
+		hop.Receive(&Packet{Seq: i, Wire: 1000})
+	}
+	// Packets 0–3 leave at 1–4 ms with 21 ms to go (22–25 ms); 4–9 leave
+	// at 5–10 ms with 17 ms (22–27 ms): 4–6 overtake into the lane's
+	// past, 7 ties the lane's tail and 8–9 extend it.
+	sch.At(4500*time.Microsecond, func() { hop.SetExtraProp(16 * time.Millisecond) })
+	sch.Run()
+	ms := time.Millisecond
+	want := []arrival{
+		{0, 22 * ms}, {4, 22 * ms}, {1, 23 * ms}, {5, 23 * ms}, {2, 24 * ms},
+		{6, 24 * ms}, {3, 25 * ms}, {7, 25 * ms}, {8, 26 * ms}, {9, 27 * ms},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d arrivals, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("arrival %d = %+v, want %+v (all: %+v)", i, got[i], want[i], got)
+		}
+	}
+	if sch.Pending() != 0 {
+		t.Fatalf("Pending = %d after drain", sch.Pending())
+	}
+}

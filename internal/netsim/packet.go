@@ -20,7 +20,11 @@ type Packet struct {
 	Ack bool
 	// AckSeq is the cumulative acknowledgment (next expected byte).
 	AckSeq int64
-	// Sack carries up to four selective-acknowledgment blocks [lo, hi).
+	// Sack carries the receiver's full out-of-order map as coalesced
+	// selective-acknowledgment blocks [lo, hi), sorted and disjoint (not
+	// the 3–4 blocks a real TCP option fits). A pooled packet keeps the
+	// slice's capacity across recycles, so an empty Sack may be non-nil:
+	// test len(Sack), not Sack != nil.
 	Sack [][2]int64
 	// Wire is the on-the-wire size in bytes including headers.
 	Wire int

@@ -130,10 +130,14 @@ type Path struct {
 	UplinkRAN  *Hop
 	CrossSink  *Sink
 
-	// Pool recycles the packets the path generates itself (UDP load and
-	// cross traffic); see PacketPool for the ownership rule. Transport
-	// engines keep allocating their own packets — Release ignores them.
+	// Pool recycles the path's packets: UDP load, cross traffic and the
+	// transport engines' segments and ACKs; see PacketPool for the
+	// ownership rule.
 	Pool *PacketPool
+
+	// lanes are the path's delivery lanes (every hop's propagation stage
+	// and the cross-traffic injection), kept for reserveLanes.
+	lanes []*des.Lane
 }
 
 // NewPath wires up the downlink chain
@@ -181,7 +185,7 @@ func NewPath(sch *des.Scheduler, cfg PathConfig) *Path {
 	serverWired := NewHop(sch, "server-wired", 10e9, cfg.ServerOneWay, 64_000_000, p.Bottleneck)
 	p.ServerIngress = serverWired
 
-	StartCross(sch, cfg.Cross, src.Stream("cross"), p.Pool, p.Bottleneck)
+	crossLane := StartCross(sch, cfg.Cross, src.Stream("cross"), p.Pool, p.Bottleneck)
 
 	// Uplink.
 	serverDeliver := ReceiverFunc(func(pkt *Packet) {
@@ -198,8 +202,13 @@ func NewPath(sch *des.Scheduler, cfg PathConfig) *Path {
 
 	for _, h := range []*Hop{core, p.Bottleneck, serverWired, ulWired, p.UplinkRAN} {
 		h.SetPool(p.Pool)
+		p.lanes = append(p.lanes, h.deliver)
 	}
 	p.RAN.SetPool(p.Pool)
+	p.lanes = append(p.lanes, p.RAN.deliver)
+	if crossLane != nil {
+		p.lanes = append(p.lanes, crossLane)
+	}
 
 	if cfg.Obs != nil || cfg.Trace != nil {
 		p.RAN.SetObs(cfg.Obs, cfg.Trace)
@@ -246,6 +255,15 @@ func (fc *flowCounters) add(p *Packet) {
 		c = fc.small[p.FlowID]
 	}
 	c.Add(int64(p.Len))
+}
+
+// reserveLanes grows every delivery lane of the path to hold n packets in
+// flight, so a long-lived path primed past its high-water mark never
+// allocates in its delivery stages.
+func (p *Path) reserveLanes(n int) {
+	for _, l := range p.lanes {
+		l.Reserve(n)
+	}
 }
 
 // SetRANRate changes the downlink radio goodput (e.g. PRB contention or a

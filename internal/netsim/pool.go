@@ -1,18 +1,23 @@
 package netsim
 
-// PacketPool recycles Packet structs for the traffic a path generates
-// itself (the UDP load generators and the cross-traffic pump), so the
-// per-packet steady state allocates nothing. The pool is owned by a
-// single scheduler's event loop and is deliberately not thread-safe — a
-// sync.Pool would buy nothing here and cost an atomic per packet.
+// PacketPool recycles Packet structs for every packet a path carries —
+// the UDP load generators, the cross-traffic pump and the transport
+// engines' data segments and ACKs — so the per-packet steady state
+// allocates nothing. The pool is owned by a single scheduler's event loop
+// and is deliberately not thread-safe — a sync.Pool would buy nothing
+// here and cost an atomic per packet.
 //
 // Ownership rule: a packet obtained from Get is released back exactly
 // once, by whoever terminates it — the delivery wrappers in NewPath
-// release on final delivery, the hops release on drop (after OnDrop
-// observers ran) and on HARQ residual loss. Packets built with plain
-// &Packet{} (the transport engines own their retransmission state) are
-// ignored by Release, so pooled and unpooled traffic mix freely on one
-// path.
+// release on final delivery (after the endpoint's ToUE/ToServer callback
+// returns), the hops release on drop (after OnDrop observers ran) and on
+// HARQ residual loss. Endpoints therefore must not keep a delivered
+// packet past their callback: the transport receiver copies what it needs
+// (the sender's scoreboard copies an ACK's Sack blocks, and the sender may
+// take the Sack slice itself, leaving nil) before returning.
+// A recycled packet is zeroed except for its Sack capacity. Packets built
+// with plain &Packet{} are ignored by Release, so pooled and unpooled
+// traffic mix freely on one path.
 type PacketPool struct {
 	free []*Packet
 

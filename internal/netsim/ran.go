@@ -17,7 +17,8 @@ import (
 //
 // Like Hop, the per-packet path is allocation-free in steady state: ring
 // buffer queue, a single serializer slot (plus the HARQ outcome drawn for
-// it), and callbacks bound once at construction.
+// it), callbacks bound once at construction, and a des.Lane for the
+// in-order delivery leg.
 type RANHop struct {
 	Name string
 
@@ -46,7 +47,7 @@ type RANHop struct {
 	inflightExtra time.Duration
 	serveFn       func()
 	txDoneFn      func()
-	deliverFn     func(any)
+	deliver       *des.Lane // in-order delivery: times never decrease
 
 	// pool, when set, recycles pool-owned packets terminated here
 	// (buffer drops, HARQ residual loss).
@@ -112,7 +113,7 @@ func NewRANHop(sch *des.Scheduler, tech radio.Tech, rateBps float64, prop time.D
 	h.dropLabel = "drop " + h.Name
 	h.serveFn = h.serve
 	h.txDoneFn = h.txDone
-	h.deliverFn = func(a any) { h.next.Receive(a.(*Packet)) }
+	h.deliver = sch.NewLane(func(a any) { h.next.Receive(a.(*Packet)) })
 	return h
 }
 
@@ -226,7 +227,7 @@ func (h *RANHop) txDone() {
 			deliverAt = h.lastDeliverAt
 		}
 		h.lastDeliverAt = deliverAt
-		h.sch.AtArg(deliverAt, h.deliverFn, p)
+		h.deliver.At(deliverAt, p)
 	}
 	h.serve()
 }

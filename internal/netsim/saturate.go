@@ -52,7 +52,8 @@ func NewSaturator(cfg PathConfig, offeredBps float64) *Saturator {
 	// record is an allocation in what must be an allocation-free steady
 	// state (TestSaturatorSliceAllocFree). The bound: ≈3500 full-size
 	// packets fill every buffer, plus the pump's one-tick backlog; events
-	// track in-flight packets one-to-one plus the handful of sources.
+	// and delivery-lane slots track in-flight packets at most one-to-one
+	// plus the handful of sources.
 	const prime = 8192
 	pkts := make([]*Packet, prime)
 	for i := range pkts {
@@ -65,6 +66,7 @@ func NewSaturator(cfg PathConfig, offeredBps float64) *Saturator {
 		sch.After(0, func() {})
 	}
 	sch.RunUntil(0)
+	s.path.reserveLanes(prime)
 	// One self-perpetuating source event, bound once: each firing sends a
 	// full MSS datagram and re-arms itself, exactly RunUDP's send loop.
 	// The chain never stops — RunSlice bounds execution with the

@@ -98,6 +98,13 @@ type Server struct {
 // scrapes before closing their connections.
 const shutdownGrace = 2 * time.Second
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers. It must stay below shutdownGrace: net/http treats a
+// connection that has sent nothing as idle only after 5 s, so without
+// this bound one silent client would outlast the drain and make Wait
+// report a deadline error.
+const readHeaderTimeout = time.Second
+
 // Serve binds addr (":0" picks a free port) and serves the telemetry
 // endpoints until ctx is canceled. It returns as soon as the listener
 // is bound; the resolved address is Server.Addr.
@@ -114,7 +121,7 @@ func ServeHandler(ctx context.Context, addr string, h http.Handler) (*Server, er
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	hs := &http.Server{Handler: h}
+	hs := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 	s := &Server{Addr: ln.Addr().String(), done: make(chan struct{})}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -117,6 +118,33 @@ func TestServeEndpointsAndShutdown(t *testing.T) {
 	}
 	if _, err := client.Get(base + "/metrics"); err == nil {
 		t.Fatal("server still answering after context cancellation")
+	}
+}
+
+// TestServeDrainsSilentConnection: a client that connects and never
+// sends a request must not hold up the drain. The read-header bound
+// closes it before the shutdown grace runs out, so Wait returns nil.
+func TestServeDrainsSilentConnection(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	srv, err := Serve(ctx, "127.0.0.1:0", serveTestOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	cancel()
+	done := make(chan error, 1)
+	go func() { done <- srv.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("drain with a silent connection reported %v", err)
+		}
+	case <-time.After(shutdownGrace + time.Second):
+		t.Fatal("Wait did not return within the shutdown grace")
 	}
 }
 

@@ -28,7 +28,16 @@ func (s *intervalSet) Add(lo, hi int64) {
 		s.total -= s.ranges[j].hi - s.ranges[j].lo
 		j++
 	}
-	s.ranges = append(s.ranges[:i], append([]byteRange{{lo, hi}}, s.ranges[j:]...)...)
+	// ranges[i:j] collapse into the one merged range, in place.
+	switch {
+	case j == i: // no overlap: open a slot at i
+		s.ranges = append(s.ranges, byteRange{})
+		copy(s.ranges[i+1:], s.ranges[i:])
+	case j > i+1: // several merged: close the gap behind i
+		n := copy(s.ranges[i+1:], s.ranges[j:])
+		s.ranges = s.ranges[:i+1+n]
+	}
+	s.ranges[i] = byteRange{lo, hi}
 	s.total += hi - lo
 }
 

@@ -55,6 +55,7 @@ type Conn struct {
 
 	srtt, rttvar, rto time.Duration
 	rtoTimer          des.Timer
+	rtoFn             func() // c.onRTO, bound once so re-arming allocates nothing
 	walkRestartAt     time.Duration
 	repairProgressAt  time.Duration
 
@@ -66,6 +67,9 @@ type Conn struct {
 	ooo      intervalSet
 	ackEvery int
 	unacked  int
+	// sackBufs are Sack slices of ACKs the sender has read, kept for the
+	// receiver's next ACKs.
+	sackBufs [][][2]int64
 
 	// Stats.
 	DeliveredBytes int64
@@ -99,6 +103,7 @@ func NewConn(sch *des.Scheduler, path *netsim.Path, ctrlName string, limit int64
 	if c.ctrl == nil {
 		panic("transport: unknown congestion controller " + ctrlName)
 	}
+	c.rtoFn = c.onRTO
 	c.ctrl = cc.Instrument(c.ctrl, path.Cfg.Obs)
 	c.pacing = c.ctrl.PacingRate() > 0
 	path.ToUE = netsim.ReceiverFunc(c.onData)
@@ -152,7 +157,8 @@ func (c *Conn) window() int64 {
 	return wnd
 }
 
-// sendSegment transmits one segment starting at seq.
+// sendSegment transmits one segment starting at seq. Segments come from
+// the path's packet pool; the path releases them on delivery or drop.
 func (c *Conn) sendSegment(seq int64, retx bool) {
 	size := int64(netsim.MSS)
 	if seq+size > c.limit {
@@ -161,10 +167,10 @@ func (c *Conn) sendSegment(seq int64, retx bool) {
 	if size <= 0 {
 		return
 	}
-	c.path.ServerIngress.Receive(&netsim.Packet{
-		FlowID: 1, Seq: seq, Len: int(size), Wire: int(size) + netsim.HeaderBytes,
-		SentAt: c.sch.Now(), Retransmit: retx,
-	})
+	p := c.path.Pool.Get()
+	p.FlowID, p.Seq, p.Len, p.Wire = 1, seq, int(size), int(size)+netsim.HeaderBytes
+	p.SentAt, p.Retransmit = c.sch.Now(), retx
+	c.path.ServerIngress.Receive(p)
 	if retx {
 		c.Retransmits++
 	}
@@ -297,9 +303,17 @@ func (c *Conn) onData(p *netsim.Packet) {
 		if p.Retransmit {
 			echo = 0 // Karn's rule: no RTT samples from retransmits
 		}
-		ack := &netsim.Packet{
-			FlowID: 1, Ack: true, AckSeq: c.rcvNext,
-			Wire: netsim.HeaderBytes, SentAt: c.sch.Now(), EchoTS: echo,
+		// ACKs come from the path's pool too. The pool hands out data
+		// and ACK packets alike, so an ACK carrying blocks takes a Sack
+		// slice the sender returned (see onAck) when its packet has
+		// none; a warm ACK stream then copies the map without
+		// allocating.
+		ack := c.path.Pool.Get()
+		ack.FlowID, ack.Ack, ack.AckSeq = 1, true, c.rcvNext
+		ack.Wire, ack.SentAt, ack.EchoTS = netsim.HeaderBytes, c.sch.Now(), echo
+		if n := len(c.sackBufs); n > 0 && c.ooo.Len() > 0 && cap(ack.Sack) == 0 {
+			ack.Sack = c.sackBufs[n-1]
+			c.sackBufs = c.sackBufs[:n-1]
 		}
 		// Report the full out-of-order map. Real TCP fits only 3-4 SACK
 		// blocks per ACK but accumulates complete coverage across the ACK
@@ -322,10 +336,19 @@ func (c *Conn) onAck(p *netsim.Packet) {
 	if p.EchoTS > 0 {
 		c.updateRTT(now - p.EchoTS)
 	}
-	if p.Sack != nil {
+	if len(p.Sack) > 0 {
 		// The ACK carries the receiver's complete out-of-order map, so the
-		// scoreboard is replaced, not merged.
+		// scoreboard is replaced, not merged. An ACK without blocks leaves
+		// it alone (a recycled packet's empty Sack is non-nil, so test
+		// the length).
 		c.sacked.Replace(p.Sack, c.una)
+	}
+	if cap(p.Sack) > 0 {
+		// The scoreboard holds its own copy: keep the slice for the
+		// receiver's next ACK instead of leaving it on a packet the
+		// pool will likely hand to a data segment.
+		c.sackBufs = append(c.sackBufs, p.Sack[:0])
+		p.Sack = nil
 	}
 	advanced := p.AckSeq > c.una
 	if advanced {
@@ -409,7 +432,7 @@ func (c *Conn) armRTO() {
 	if c.una >= c.limit {
 		return
 	}
-	c.rtoTimer = c.sch.After(c.rto, c.onRTO)
+	c.rtoTimer = c.sch.After(c.rto, c.rtoFn)
 }
 
 func (c *Conn) onRTO() {

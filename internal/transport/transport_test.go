@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -74,6 +75,133 @@ func TestIntervalSetReplace(t *testing.T) {
 	s.Replace([][2]int64{{10, 20}, {30, 40}}, 15)
 	if s.Total() != 15 { // [15,20) + [30,40)
 		t.Fatalf("Replace total = %d, want 15", s.Total())
+	}
+}
+
+// bitmapSet is the reference model for intervalSet: one bool per byte.
+type bitmapSet []bool
+
+// runs returns the maximal runs of set bytes, the exact ranges a
+// coalesced intervalSet must hold.
+func (b bitmapSet) runs() []byteRange {
+	var out []byteRange
+	for i := 0; i < len(b); i++ {
+		if !b[i] {
+			continue
+		}
+		j := i
+		for j < len(b) && b[j] {
+			j++
+		}
+		out = append(out, byteRange{int64(i), int64(j)})
+		i = j
+	}
+	return out
+}
+
+// TestIntervalSetMatchesBitmap drives random Add, TrimBelow and Replace
+// calls against a byte bitmap and requires, after every call, the same
+// ranges (sorted, disjoint, coalesced), the same Total, and agreeing
+// Covers and NextAbove answers.
+func TestIntervalSetMatchesBitmap(t *testing.T) {
+	const universe = 256
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		var s intervalSet
+		ref := make(bitmapSet, universe)
+		for step := 0; step < 60; step++ {
+			switch op := r.Intn(10); {
+			case op < 6:
+				lo := int64(r.Intn(universe))
+				hi := lo + int64(r.Intn(24))
+				if hi > universe {
+					hi = universe
+				}
+				s.Add(lo, hi)
+				for i := lo; i < hi; i++ {
+					ref[i] = true
+				}
+			case op < 8:
+				seq := int64(r.Intn(universe / 4))
+				s.TrimBelow(seq)
+				for i := int64(0); i < seq; i++ {
+					ref[i] = false
+				}
+			default:
+				// Replace with another coalesced map, clipped to a floor.
+				src := make(bitmapSet, universe)
+				for k := r.Intn(5); k > 0; k-- {
+					lo := r.Intn(universe)
+					for i := lo; i < lo+r.Intn(32) && i < universe; i++ {
+						src[i] = true
+					}
+				}
+				var blocks [][2]int64
+				for _, b := range src.runs() {
+					blocks = append(blocks, [2]int64{b.lo, b.hi})
+				}
+				floor := int64(r.Intn(universe / 2))
+				s.Replace(blocks, floor)
+				for i := range ref {
+					ref[i] = src[i] && int64(i) >= floor
+				}
+			}
+			want := ref.runs()
+			if len(s.ranges) != len(want) {
+				t.Fatalf("trial %d step %d: ranges %v, want %v", trial, step, s.ranges, want)
+			}
+			var total int64
+			for i, w := range want {
+				if s.ranges[i] != w {
+					t.Fatalf("trial %d step %d: ranges %v, want %v", trial, step, s.ranges, want)
+				}
+				total += w.hi - w.lo
+			}
+			if s.Total() != total {
+				t.Fatalf("trial %d step %d: Total %d, want %d", trial, step, s.Total(), total)
+			}
+			lo := int64(r.Intn(universe))
+			hi := lo + 1 + int64(r.Intn(16))
+			covered := hi <= universe
+			for i := lo; covered && i < hi; i++ {
+				covered = ref[i]
+			}
+			if s.Covers(lo, hi) != covered {
+				t.Fatalf("trial %d step %d: Covers(%d, %d) = %v, want %v", trial, step, lo, hi, !covered, covered)
+			}
+			next, ok := s.NextAbove(lo)
+			var wantNext byteRange
+			wantOK := false
+			for _, w := range want {
+				if w.hi > lo {
+					wantNext, wantOK = w, true
+					break
+				}
+			}
+			if ok != wantOK || next != wantNext {
+				t.Fatalf("trial %d step %d: NextAbove(%d) = %v %v, want %v %v", trial, step, lo, next, ok, wantNext, wantOK)
+			}
+		}
+	}
+}
+
+// TestIntervalSetAddInPlace: once the set has grown, inserting and
+// trimming ranges reuses its storage.
+func TestIntervalSetAddInPlace(t *testing.T) {
+	var s intervalSet
+	for i := int64(0); i < 16; i++ {
+		s.Add(i*100, i*100+10)
+	}
+	s.Clear()
+	avg := testing.AllocsPerRun(100, func() {
+		for i := int64(8); i > 0; i-- {
+			s.Add(i*100, i*100+10) // each lands before the last: an insert
+		}
+		s.Add(150, 450) // merges several
+		s.TrimBelow(2000)
+	})
+	if avg != 0 {
+		t.Fatalf("Add/TrimBelow on a warmed set allocates %.2f allocs/op", avg)
 	}
 }
 

@@ -45,7 +45,9 @@ func EstimateBuffers(tech radio.Tech, duration time.Duration, seed int64) Buffer
 		if sch.Now() >= duration {
 			return
 		}
-		path.ServerIngress.Receive(&netsim.Packet{Seq: seq, Len: netsim.MSS, Wire: netsim.MSS + netsim.HeaderBytes})
+		p := path.Pool.Get()
+		p.Seq, p.Len, p.Wire = seq, netsim.MSS, netsim.MSS+netsim.HeaderBytes
+		path.ServerIngress.Receive(p)
 		seq++
 		sch.After(interval, tick)
 	}

@@ -150,6 +150,28 @@ func TestRunExperimentsMergesObsInPaperOrder(t *testing.T) {
 	}
 }
 
+// TestObsReachesX2Paths: X2 builds its remote and edge paths from the
+// campaign configuration, so Config.Obs sees its DES events, and
+// attaching telemetry leaves its report unchanged.
+func TestObsReachesX2Paths(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two quick X2 runs are not short-mode work")
+	}
+	plain, err := RunExperiments(Config{Seed: 42, Quick: true, Workers: 1}, "X2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Seed: 42, Quick: true, Workers: 1, Obs: obs.NewRegistry()}
+	observed, err := RunExperiments(cfg, "X2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cfg.Obs.Counter("des.events_fired").Value(); n == 0 {
+		t.Fatal("X2 with Config.Obs recorded no DES events")
+	}
+	sameResults(t, plain, observed, "X2 without vs with Obs")
+}
+
 // TestRunExperimentsUnknownID checks the subset API's error path.
 func TestRunExperimentsUnknownID(t *testing.T) {
 	if _, err := RunExperiments(QuickConfig(), "F13", "Z9"); err == nil {

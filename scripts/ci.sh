@@ -26,6 +26,9 @@ go test -race -short ./...
 echo "== fault determinism short suite =="
 go test -short -run 'Fault|Injection|Plan|Scenario|Ctx|Cancellation' ./internal/fault/ ./internal/par/ .
 
+echo "== packet core suite (lane order vs AtArg, packet golden, extra-prop fallback) =="
+go test -race -short -run 'Lane|PacketGolden|ExtraProp' ./internal/des ./internal/netsim .
+
 echo "== population suite (PRB properties, determinism, N=1, alloc guards) =="
 go test -race -short ./internal/pop/ ./internal/traffic/ ./internal/deploy/
 
